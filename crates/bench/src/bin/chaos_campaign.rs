@@ -72,17 +72,6 @@ use std::time::{Duration, Instant};
 /// this long has wedged.
 const CELL_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// Pre-built JSON value carried through a derived `Serialize` struct
-/// (the vendored serde's `Value` has no own `Serialize` impl).
-#[derive(Debug, Clone)]
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 #[derive(Debug, Serialize)]
 struct TrajectoryPoint {
     mode: String,
@@ -126,12 +115,12 @@ struct CampaignReport {
     wall_s: f64,
     /// Campaign aggregates of previous invocations (oldest first), with
     /// this invocation's appended last.
-    trajectory: Vec<Raw>,
+    trajectory: Vec<Value>,
 }
 
 /// Salvage the `trajectory` array from a previous output file,
 /// tolerating any older schema.
-fn load_trajectory(path: &str) -> Vec<Raw> {
+fn load_trajectory(path: &str) -> Vec<Value> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -142,7 +131,7 @@ fn load_trajectory(path: &str) -> Vec<Raw> {
         .as_map()
         .and_then(|m| serde::value::get_field(m, "trajectory"))
         .and_then(Value::as_seq)
-        .map(|points| points.iter().cloned().map(Raw).collect())
+        .map(<[Value]>::to_vec)
         .unwrap_or_default()
 }
 
@@ -612,16 +601,19 @@ fn main() {
         .collect();
 
     let mut trajectory = load_trajectory(&out);
-    trajectory.push(Raw(serde_json::to_value(&TrajectoryPoint {
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        procs: p,
-        plans,
-        runs,
-        violations: violations.len(),
-        detections,
-        rejoins_with_work,
-        wall_s,
-    })));
+    trajectory.push(
+        serde_json::to_value(&TrajectoryPoint {
+            mode: if quick { "quick" } else { "full" }.to_string(),
+            procs: p,
+            plans,
+            runs,
+            violations: violations.len(),
+            detections,
+            rejoins_with_work,
+            wall_s,
+        })
+        .expect("trajectory points serialize"),
+    );
 
     let report = CampaignReport {
         mode: if quick { "quick" } else { "full" }.to_string(),

@@ -44,17 +44,6 @@ use serde::{Serialize, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Pre-built JSON value carried through a derived `Serialize` struct
-/// (the vendored serde's `Value` has no own `Serialize` impl).
-#[derive(Debug, Clone)]
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 #[derive(Debug, Serialize)]
 struct RunBench {
     name: String,
@@ -131,7 +120,7 @@ struct EngineBench {
     total_event_reduction: f64,
     /// Cell aggregates of previous invocations (oldest first), with
     /// this invocation's appended last.
-    trajectory: Vec<Raw>,
+    trajectory: Vec<Value>,
 }
 
 /// Median of an odd-length sample (the default repeat counts are odd);
@@ -173,7 +162,7 @@ fn timed_runs(
 /// Salvage the `trajectory` array from a previous `BENCH_engine.json`,
 /// tolerating any older schema (missing file, missing field, wrong
 /// shape all yield an empty history).
-fn load_trajectory(path: &str) -> Vec<Raw> {
+fn load_trajectory(path: &str) -> Vec<Value> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -184,7 +173,7 @@ fn load_trajectory(path: &str) -> Vec<Raw> {
         .as_map()
         .and_then(|m| serde::value::get_field(m, "trajectory"))
         .and_then(Value::as_seq)
-        .map(|points| points.iter().cloned().map(Raw).collect())
+        .map(<[Value]>::to_vec)
         .unwrap_or_default()
 }
 
@@ -200,12 +189,12 @@ fn load_trajectory(path: &str) -> Vec<Raw> {
 /// `DLB_BENCH_ALLOW_REGRESSION=1` downgrades the failure to a warning
 /// (for deliberate trade-offs). Points written by older schemas (no
 /// event-count field) are skipped.
-fn regression_gate(trajectory: &[Raw], mode: &str, procs: usize, wall_s: f64, events: u64) {
+fn regression_gate(trajectory: &[Value], mode: &str, procs: usize, wall_s: f64, events: u64) {
     let prior = trajectory
         .iter()
         .rev()
         .skip(1) // the point this invocation just appended
-        .filter_map(|p| p.0.as_map())
+        .filter_map(Value::as_map)
         .find(|m| {
             let same_mode = matches!(
                 serde::value::get_field(m, "mode"),
@@ -486,17 +475,20 @@ fn main() {
     let total_event_reduction = total_events_per_iter as f64 / total_events_episode.max(1) as f64;
 
     let mut trajectory = load_trajectory(&out);
-    trajectory.push(Raw(serde_json::to_value(&TrajectoryPoint {
-        mode: if quick { "quick" } else { "full" }.to_string(),
-        procs: p,
-        total_per_iter_s,
-        total_batched_s,
-        total_episode_s,
-        wall_speedup_batched,
-        wall_speedup_episode,
-        total_event_reduction,
-        total_events_episode,
-    })));
+    trajectory.push(
+        serde_json::to_value(&TrajectoryPoint {
+            mode: if quick { "quick" } else { "full" }.to_string(),
+            procs: p,
+            total_per_iter_s,
+            total_batched_s,
+            total_episode_s,
+            wall_speedup_batched,
+            wall_speedup_episode,
+            total_event_reduction,
+            total_events_episode,
+        })
+        .expect("trajectory points serialize"),
+    );
 
     let bench = EngineBench {
         mode: if quick { "quick" } else { "full" }.to_string(),

@@ -51,17 +51,6 @@ use now_sim::ClusterSpec;
 use serde::{Serialize, Value};
 use std::time::Instant;
 
-/// Pre-built JSON value carried through a derived `Serialize` struct
-/// (the vendored serde's `Value` has no own `Serialize` impl).
-#[derive(Debug, Clone)]
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 #[derive(Debug, Serialize)]
 struct ThroughputRow {
     clients: usize,
@@ -113,7 +102,7 @@ struct ServeBench {
     warm_samples: usize,
     throughput: Vec<ThroughputRow>,
     grid: Vec<GridCell>,
-    trajectory: Vec<Raw>,
+    trajectory: Vec<Value>,
 }
 
 fn median(samples: &mut [f64]) -> f64 {
@@ -380,7 +369,7 @@ fn replay(quick: bool) -> ! {
 }
 
 /// Salvage the `trajectory` array from a previous `BENCH_serve.json`.
-fn load_trajectory(path: &str) -> Vec<Raw> {
+fn load_trajectory(path: &str) -> Vec<Value> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
     };
@@ -391,7 +380,7 @@ fn load_trajectory(path: &str) -> Vec<Raw> {
         .as_map()
         .and_then(|m| serde::value::get_field(m, "trajectory"))
         .and_then(Value::as_seq)
-        .map(|points| points.iter().cloned().map(Raw).collect())
+        .map(<[Value]>::to_vec)
         .unwrap_or_default()
 }
 
@@ -399,7 +388,7 @@ fn load_trajectory(path: &str) -> Vec<Raw> {
 /// (absolute, every invocation), and the speedup must not collapse
 /// below half of the last same-mode trajectory point (relative).
 /// `DLB_BENCH_ALLOW_REGRESSION=1` records the point anyway.
-fn regression_gate(trajectory: &[Raw], mode: &str, hit_speedup: f64) {
+fn regression_gate(trajectory: &[Value], mode: &str, hit_speedup: f64) {
     let mut regressions = Vec::new();
     if hit_speedup < 100.0 {
         regressions.push(format!(
@@ -410,7 +399,7 @@ fn regression_gate(trajectory: &[Raw], mode: &str, hit_speedup: f64) {
         .iter()
         .rev()
         .skip(1) // the point this invocation just appended
-        .filter_map(|p| p.0.as_map())
+        .filter_map(Value::as_map)
         .find(|m| {
             matches!(
                 serde::value::get_field(m, "mode"),
@@ -533,13 +522,16 @@ fn main() {
     let req_per_s_16 = rows.last().map_or(0.0, |r| r.req_per_s);
     let mode = if quick { "quick" } else { "full" }.to_string();
     let mut trajectory = load_trajectory(&out);
-    trajectory.push(Raw(serde_json::to_value(&TrajectoryPoint {
-        mode: mode.clone(),
-        cold_miss_s,
-        warm_hit_s,
-        hit_speedup,
-        req_per_s_16,
-    })));
+    trajectory.push(
+        serde_json::to_value(&TrajectoryPoint {
+            mode: mode.clone(),
+            cold_miss_s,
+            warm_hit_s,
+            hit_speedup,
+            req_per_s_16,
+        })
+        .expect("trajectory points serialize"),
+    );
 
     let bench = ServeBench {
         mode: mode.clone(),

@@ -171,9 +171,10 @@ pub fn entry_path(dir: &Path, key: MemoKey) -> PathBuf {
 }
 
 /// Read and validate one disk entry. Any defect — missing file, short
-/// file, wrong magic, wrong key, unparseable payload — yields `None`.
+/// file, wrong magic, wrong key, unparseable or too deeply nested
+/// payload — yields `None`.
 fn read_disk_entry(path: &Path, key: MemoKey) -> Option<String> {
-    let raw = fs::read_to_string(path).ok()?;
+    let mut raw = fs::read_to_string(path).ok()?;
     let (header, payload) = raw.split_once('\n')?;
     let expect = format!("{DISK_MAGIC} {key}");
     if header != expect {
@@ -182,7 +183,10 @@ fn read_disk_entry(path: &Path, key: MemoKey) -> Option<String> {
     // The payload must round-trip as a report; a truncated JSON tail
     // fails here rather than poisoning a consumer downstream.
     let _: RunReport = serde_json::from_str(payload).ok()?;
-    Some(payload.to_string())
+    // Keep the payload in the buffer that was read, at its exact size.
+    raw.drain(..=header.len());
+    raw.shrink_to_fit();
+    Some(raw)
 }
 
 fn write_disk_entry(dir: &Path, key: MemoKey, bytes: &str) -> std::io::Result<()> {

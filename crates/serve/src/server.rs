@@ -175,7 +175,11 @@ impl Shared {
         // Simulate and serialize outside every lock — this is the slow
         // part, and other keys must keep flowing while it runs.
         let (report, counters) = job.spec.execute_counted();
-        let bytes = Arc::new(serde_json::to_string(&report).expect("reports always serialize"));
+        let mut bytes = serde_json::to_string(&report).expect("reports always serialize");
+        // The writer grows its buffer by doubling; publish exactly the
+        // bytes, since the memo keeps them for the server's lifetime.
+        bytes.shrink_to_fit();
+        let bytes = Arc::new(bytes);
         self.stats.simulations.fetch_add(1, Ordering::Relaxed);
 
         if let Some(direct) = job.direct {

@@ -11,9 +11,9 @@
 //!
 //! Canonicalization normalizes every field that provably cannot affect
 //! the run (e.g. the failure policy under an empty fault plan), then
-//! serializes through the derived `Serialize` impls, which emit fields
-//! in declaration order into an ordered map — no `HashMap` iteration
-//! anywhere in the chain, so the bytes are stable across processes,
+//! writes it through the derived `Serialize` impls, which emit fields
+//! in declaration order straight into the output buffer — no `HashMap`
+//! iteration anywhere in the chain, so the bytes are stable across processes,
 //! platforms and reruns. The key is the 64-bit FNV-1a hash of those
 //! bytes; [`now_sim::ENGINE_VERSION`] is folded into the hashed envelope
 //! so any engine-semantics change atomically invalidates every
@@ -162,13 +162,19 @@ impl RunSpec {
     /// [`RunSpec::canonical_bytes`] under an explicit engine version
     /// (exposed so tests can prove a version bump changes the key).
     ///
-    /// The spec serializes through the derived `Serialize` impls, which
-    /// emit fields in declaration order into an ordered map — nothing
-    /// in the chain iterates a `HashMap`, so the bytes (and hence the
-    /// key) are stable across processes, platforms and reruns.
+    /// The envelope and the spec are written into one buffer by the
+    /// derived `Serialize` impls, which emit fields in declaration
+    /// order — nothing in the chain iterates a `HashMap`, so the bytes
+    /// (and hence the key) are stable across processes, platforms and
+    /// reruns.
     pub fn canonical_bytes_with_version(&self, engine_version: u32) -> String {
-        let spec = serde_json::to_string(&self.canonical()).expect("run specs always serialize");
-        format!("{{\"engine_version\":{engine_version},\"spec\":{spec}}}")
+        let mut out = String::with_capacity(1024);
+        out.push_str("{\"engine_version\":");
+        serde_json::write_into(&mut out, &engine_version).expect("integers always serialize");
+        out.push_str(",\"spec\":");
+        serde_json::write_into(&mut out, &self.canonical()).expect("run specs always serialize");
+        out.push('}');
+        out
     }
 
     /// Content address of this spec under the current

@@ -139,8 +139,8 @@ fn engine_version_bump_invalidates_all_prior_entries() {
     }
 }
 
-/// A corrupt on-disk entry — truncated tail, garbage bytes, or a wrong
-/// header — is a miss: the server re-simulates (and heals the entry),
+/// A corrupt on-disk entry — truncated tail, garbage bytes, a wrong
+/// header, or a payload nested a million levels deep — is a miss: the server re-simulates (and heals the entry),
 /// it does not panic and it cannot serve the damaged bytes.
 #[test]
 fn corrupt_disk_entries_miss_and_heal() {
@@ -168,12 +168,19 @@ fn corrupt_disk_entries_miss_and_heal() {
     }
     let valid = std::fs::read_to_string(&path).expect("entry written");
 
-    let corruptions: [(&str, String); 3] = [
+    let header = valid.split_once('\n').expect("header line").0;
+    let corruptions: [(&str, String); 4] = [
         ("truncated", valid[..valid.len() / 2].to_string()),
         ("garbage", "\x00\x01not a memo file at all".to_string()),
         (
             "wrong header",
             valid.replacen("dlb-memo v1", "dlb-memo v0", 1),
+        ),
+        // Nesting past the reader's depth limit is a parse error, not a
+        // stack overflow that takes the server down.
+        (
+            "deeply nested",
+            format!("{header}\n{}", "[".repeat(1_000_000)),
         ),
     ];
     for (what, bytes) in corruptions {
