@@ -24,7 +24,7 @@
 //! Results land in `BENCH_adaptive.json` (override with `--out`).
 //! `--quick` runs only the P=16 cell and the control cell (CI smoke).
 
-use dlb_bench::{format_table, Align};
+use dlb_bench::{format_table, Align, Args};
 use dlb_core::strategy::{AdaptiveConfig, Strategy, StrategyConfig};
 use now_load::LoadSpec;
 use now_serve::{RunKind, RunSpec, WorkloadSpec};
@@ -228,18 +228,24 @@ fn control_cell() -> bool {
     same
 }
 
+const USAGE: &str = "\
+usage: adaptive_bench [--quick] [--out PATH]
+
+Runs the drift cells where no static strategy fits the whole run,
+asserts the adaptive policy beats every static one, and appends the
+results to BENCH_adaptive.json.
+
+  --quick     only the P=16 cell and the control cell (CI smoke)
+  --out PATH  result file (default BENCH_adaptive.json)
+";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut out = "BENCH_adaptive.json".to_string();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path").clone(),
-            "--quick" => {}
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let args = Args::from_env(USAGE, &["--quick"], &["--out"]);
+    let quick = args.flag("--quick");
+    let out = args
+        .string("--out")
+        .unwrap_or("BENCH_adaptive.json")
+        .to_string();
 
     println!(
         "adaptive_bench — §S17 switching vs every static strategy{}",

@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! chaos_campaign [--quick] [--plans N] [--seed S] [--procs P] [--out PATH]
+//! chaos_campaign [--quick] [--plans N] [--start I] [--seed S] [--procs P] [--out PATH]
 //! ```
 //!
 //! Generates `N` seeded random [`FaultPlan`]s — crash+recover, stall,
@@ -55,6 +55,7 @@
 //! no engine invocations — and the report's memo counters prove it.
 
 use dlb_apps::MxmConfig;
+use dlb_bench::Args;
 use dlb_core::strategy::{AdaptiveConfig, Strategy, StrategyConfig};
 use dlb_core::work::LoopWorkload;
 use now_fault::{
@@ -354,52 +355,37 @@ fn cell_specs(
     .collect()
 }
 
+const USAGE: &str = "\
+usage: chaos_campaign [--quick] [--plans N] [--start I] [--seed S] [--procs P] [--out PATH]
+
+Runs seeded random fault plans under every strategy and engine mode,
+checks the fault-tolerance invariants, and appends to BENCH_fault.json.
+
+  --quick     24 plans instead of 210 (CI smoke)
+  --plans N   number of plans (N >= 1)
+  --start I   index of the first plan (default 0)
+  --seed S    campaign seed
+  --procs P   cluster size, P >= 2 (default 4)
+  --out PATH  result file (default BENCH_fault.json)
+";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut out = "BENCH_fault.json".to_string();
-    let mut plans: usize = if quick { 24 } else { 210 };
-    let mut start: usize = 0;
-    let mut seed: u64 = 0xC4A0_5CA1;
-    let mut p: usize = 4;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path").clone(),
-            "--procs" => {
-                p = it
-                    .next()
-                    .expect("--procs needs a count")
-                    .parse()
-                    .expect("--procs needs a number");
-                assert!(p >= 2, "--procs must be at least 2");
-            }
-            "--start" => {
-                start = it
-                    .next()
-                    .expect("--start needs an index")
-                    .parse()
-                    .expect("--start needs a number");
-            }
-            "--plans" => {
-                plans = it
-                    .next()
-                    .expect("--plans needs a count")
-                    .parse()
-                    .expect("--plans needs a number");
-                assert!(plans > 0, "--plans must be at least 1");
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed needs a number");
-            }
-            "--quick" => {}
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let args = Args::from_env(
+        USAGE,
+        &["--quick"],
+        &["--out", "--procs", "--start", "--plans", "--seed"],
+    );
+    let quick = args.flag("--quick");
+    let out = args
+        .string("--out")
+        .unwrap_or("BENCH_fault.json")
+        .to_string();
+    let plans: usize = args
+        .number("--plans", 1)
+        .unwrap_or(if quick { 24 } else { 210 });
+    let start: usize = args.number("--start", 0).unwrap_or(0);
+    let seed: u64 = args.number("--seed", 0).unwrap_or(0xC4A0_5CA1);
+    let p: usize = args.number("--procs", 2).unwrap_or(4);
 
     // Iterations scale with P (constant work per processor); at the
     // default P=4 this is the original 100-iteration cell, so existing

@@ -36,7 +36,7 @@
 //! are read as quick=4 / full=16).
 
 use dlb_apps::MxmConfig;
-use dlb_bench::{format_table, paper_group_size, persistence_for, Align, LOAD_SEED};
+use dlb_bench::{format_table, paper_group_size, persistence_for, Align, Args, LOAD_SEED};
 use dlb_core::strategy::{Strategy, StrategyConfig};
 use now_serve::{MemoConfig, RunKind, RunServer, RunSpec, ServeConfig, Served, WorkloadSpec};
 use now_sim::{ClusterSpec, EngineCounters, EngineMode};
@@ -247,37 +247,29 @@ fn regression_gate(trajectory: &[Value], mode: &str, procs: usize, wall_s: f64, 
     }
 }
 
+const USAGE: &str = "\
+usage: engine_bench [--quick] [--procs P] [--repeat R] [--out PATH]
+
+Runs noDLB and the strategies in all three engine modes, asserts their
+reports are byte-identical, and appends the timings to BENCH_engine.json.
+
+  --quick     scaled-down cell (CI smoke)
+  --procs P   large-P scaling cell with P >= 2 processors
+  --repeat R  runs per mode, the median is reported (default 5, 3 quick)
+  --out PATH  result file (default BENCH_engine.json)
+";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut out = "BENCH_engine.json".to_string();
-    let mut repeat: usize = if quick { 3 } else { 5 };
-    let mut procs_override: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path").clone(),
-            "--repeat" => {
-                repeat = it
-                    .next()
-                    .expect("--repeat needs a count")
-                    .parse()
-                    .expect("--repeat needs a number");
-                assert!(repeat > 0, "--repeat must be at least 1");
-            }
-            "--procs" => {
-                let p: usize = it
-                    .next()
-                    .expect("--procs needs a count")
-                    .parse()
-                    .expect("--procs needs a number");
-                assert!(p >= 2, "--procs must be at least 2");
-                procs_override = Some(p);
-            }
-            "--quick" => {}
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let args = Args::from_env(USAGE, &["--quick"], &["--out", "--repeat", "--procs"]);
+    let quick = args.flag("--quick");
+    let out = args
+        .string("--out")
+        .unwrap_or("BENCH_engine.json")
+        .to_string();
+    let repeat: usize = args
+        .number("--repeat", 1)
+        .unwrap_or(if quick { 3 } else { 5 });
+    let procs_override: Option<usize> = args.number("--procs", 2);
 
     let (p, cfg) = match procs_override {
         // Large-P scaling cell: constant work per processor, so the

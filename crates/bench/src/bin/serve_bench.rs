@@ -43,7 +43,7 @@
 use dlb_apps::{MxmConfig, TrfdConfig};
 use dlb_bench::{
     format_table, mxm_experiment_with, paper_group_size, persistence_for,
-    trfd_loop_experiment_with, Align, TrfdLoop, LOAD_SEED,
+    trfd_loop_experiment_with, Align, Args, TrfdLoop, LOAD_SEED,
 };
 use dlb_core::strategy::{Strategy, StrategyConfig};
 use now_serve::{MemoConfig, RunKind, RunServer, RunSpec, ServeConfig, Served, WorkloadSpec};
@@ -433,39 +433,36 @@ fn regression_gate(trajectory: &[Value], mode: &str, hit_speedup: f64) {
     }
 }
 
+const USAGE: &str = "\
+usage: serve_bench [--quick] [--repeat R] [--threads N] [--out PATH]
+       serve_bench --replay [--quick]
+
+Measures the run server's memo latency and throughput and appends them
+to BENCH_serve.json; --replay runs the cache-replay check instead.
+
+  --quick      scaled-down runs (CI smoke)
+  --repeat R   fresh servers for the latency probe (default 3)
+  --threads N  parallel pool size (default: available cores)
+  --out PATH   result file (default BENCH_serve.json)
+  --replay     run the same sweep twice and check the memo hits
+";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--replay") {
+    let args = Args::from_env(
+        USAGE,
+        &["--quick", "--replay"],
+        &["--out", "--repeat", "--threads"],
+    );
+    let quick = args.flag("--quick");
+    if args.flag("--replay") {
         replay(quick);
     }
-    let mut out = "BENCH_serve.json".to_string();
-    let mut repeat: usize = 3;
-    let mut threads: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => out = it.next().expect("--out needs a path").clone(),
-            "--repeat" => {
-                repeat = it
-                    .next()
-                    .expect("--repeat needs a count")
-                    .parse()
-                    .expect("--repeat needs a number");
-                assert!(repeat > 0, "--repeat must be at least 1");
-            }
-            "--threads" => {
-                threads = Some(
-                    it.next()
-                        .expect("--threads needs a count")
-                        .parse()
-                        .expect("--threads needs a number"),
-                )
-            }
-            "--quick" => {}
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
+    let out = args
+        .string("--out")
+        .unwrap_or("BENCH_serve.json")
+        .to_string();
+    let repeat: usize = args.number("--repeat", 1).unwrap_or(3);
+    let threads: Option<usize> = args.number("--threads", 1);
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(

@@ -2,7 +2,7 @@
 //! threshold, and profitability analysis (Sections 3.3–3.4, eq. 3).
 
 use crate::distribution::Distribution;
-use crate::moveplan::{plan_transfers, Transfer};
+use crate::moveplan::{plan_transfers, Transfer, TransferIndex};
 use crate::profile::PerfProfile;
 use crate::strategy::StrategyConfig;
 use serde::{Deserialize, Serialize};
@@ -40,6 +40,22 @@ pub struct BalanceOutcome {
     /// Predicted finish time under the new distribution (excluding or
     /// including movement cost per the config).
     pub predicted_new: f64,
+}
+
+/// A [`BalanceOutcome`] together with its [`TransferIndex`], built once
+/// when the outcome is decided (or received) and shared by every
+/// participant that acts on it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexedOutcome {
+    pub outcome: BalanceOutcome,
+    pub index: TransferIndex,
+}
+
+impl From<BalanceOutcome> for IndexedOutcome {
+    fn from(outcome: BalanceOutcome) -> Self {
+        let index = TransferIndex::new(&outcome.transfers);
+        Self { outcome, index }
+    }
 }
 
 /// Run the balancer for one group.

@@ -58,13 +58,13 @@ pub mod work;
 pub mod workqueue;
 
 pub use arrays::{DataDistribution, DlbArray};
-pub use balance::{balance_group, BalanceOutcome, BalanceVerdict};
+pub use balance::{balance_group, BalanceOutcome, BalanceVerdict, IndexedOutcome};
 pub use costindex::{CostIndex, IndexedLoop};
 pub use distribution::Distribution;
 pub use hierarchy::GroupTree;
 pub use loopsched::{ChunkQueue, ChunkScheme};
 pub use membership::Membership;
-pub use moveplan::{plan_transfers, Transfer};
+pub use moveplan::{plan_transfers, Transfer, TransferIndex};
 pub use profile::PerfProfile;
 pub use recovery::split_ranges;
 pub use stats::DlbStats;

@@ -82,6 +82,59 @@ pub fn plan_transfers(old: &Distribution, new: &Distribution) -> Vec<Transfer> {
     plan
 }
 
+/// Per-processor view of a transfer plan, built once per plan so that each
+/// participant finds its share without scanning the whole list.
+///
+/// Acting on a balancer outcome, every participant ships its donations and
+/// waits for what it is owed. A `filter` over the plan per participant
+/// costs O(K·T) per episode (K participants, T transfers); with the index
+/// the whole episode costs O(T log T) to build plus O(log T) per lookup,
+/// with no term in the processor count P.
+///
+/// Both views are *stable* sorts of the plan, so a processor's donations
+/// (and receipts) are one contiguous slice in plan order — exactly what
+/// `plan.iter().filter(|t| t.from == p)` yields. [`plan_transfers`]
+/// already emits each donor's and each receiver's transfers
+/// consecutively, so the sorts mostly confirm an order they find.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TransferIndex {
+    by_donor: Vec<Transfer>,
+    by_receiver: Vec<Transfer>,
+}
+
+impl TransferIndex {
+    /// Index `plan` (any order; global or group-local ids alike).
+    pub fn new(plan: &[Transfer]) -> Self {
+        let mut by_donor = plan.to_vec();
+        by_donor.sort_by_key(|t| t.from);
+        let mut by_receiver = plan.to_vec();
+        by_receiver.sort_by_key(|t| t.to);
+        Self {
+            by_donor,
+            by_receiver,
+        }
+    }
+
+    /// The transfers `proc` ships, in plan order.
+    pub fn donations(&self, proc: usize) -> &[Transfer] {
+        let lo = self.by_donor.partition_point(|t| t.from < proc);
+        let hi = lo + self.by_donor[lo..].partition_point(|t| t.from == proc);
+        &self.by_donor[lo..hi]
+    }
+
+    /// The transfers shipped to `proc`, in plan order.
+    pub fn receipts(&self, proc: usize) -> &[Transfer] {
+        let lo = self.by_receiver.partition_point(|t| t.to < proc);
+        let hi = lo + self.by_receiver[lo..].partition_point(|t| t.to == proc);
+        &self.by_receiver[lo..hi]
+    }
+
+    /// Total iterations `proc` is owed (0 for a non-member).
+    pub fn owed(&self, proc: usize) -> u64 {
+        self.receipts(proc).iter().map(|t| t.iters).sum()
+    }
+}
+
 /// Number of messages needed to realize the plan — the model's `μ(j)`.
 pub fn message_count(plan: &[Transfer]) -> usize {
     plan.len()

@@ -99,14 +99,6 @@ impl ContentionState {
         self.recv_port_free.fill(0.0);
     }
 
-    /// Copy `src` into `self`, reusing the existing allocations (the
-    /// episode fast-forward path re-snapshots once per episode).
-    pub fn copy_from(&mut self, src: &ContentionState) {
-        self.bus_free_at = src.bus_free_at;
-        self.send_port_free.clone_from(&src.send_port_free);
-        self.recv_port_free.clone_from(&src.recv_port_free);
-    }
-
     /// The shared scheduling core: account one message of `bytes` bytes
     /// from `from` to `to`, requested at `now`, endpoint CPU costs scaled
     /// by `factors`. Self-sends are local and deliver immediately.
@@ -116,6 +108,7 @@ impl ContentionState {
     ///
     /// # Panics
     /// Panics if a node index is out of range or a factor is below 1.
+    #[inline]
     pub fn schedule(
         &mut self,
         params: &NetworkParams,
@@ -233,47 +226,79 @@ impl MediumSim {
 /// The episode fast-forward path of the simulator computes a whole
 /// episode's per-message arrival times *before* deciding whether the
 /// episode may be fast-forwarded at all. This type supports that
-/// two-phase shape: [`EpisodeSchedule::restart_from`] snapshots a
-/// [`MediumSim`]'s contention state (reusing this schedule's buffers),
-/// [`EpisodeSchedule::send`] replays messages through the **same**
-/// [`ContentionState::schedule`] core the event loop uses, and
-/// [`EpisodeSchedule::commit_to`] adopts the advanced state back into the
-/// medium — or the schedule is simply dropped/reused, leaving the medium
-/// untouched (the fallback path then re-issues the messages through the
-/// event loop).
+/// two-phase shape: [`EpisodeSchedule::restart_from`] snapshots the
+/// ports of the episode's nodes and the shared wire of a [`MediumSim`]
+/// (reusing this schedule's buffers), [`EpisodeSchedule::send`] replays
+/// messages through the **same** [`ContentionState::schedule`] core the
+/// event loop uses, and [`EpisodeSchedule::commit_to`] writes the advanced
+/// lanes back into the medium — or the schedule is simply dropped/reused,
+/// leaving the medium untouched (the fallback path then re-issues the
+/// messages through the event loop).
+///
+/// # Lanes
+///
+/// An episode involves its K participants and its balancer host, not all
+/// P nodes, so the snapshot holds only those: *lane* `i` is node
+/// `lanes[i]` of the medium, and [`EpisodeSchedule::send`] takes lane
+/// indices. A snapshot and a commit cost O(lanes), not O(P). Every other
+/// node's ports are untouched by the episode, so leaving them out of the
+/// copy changes no arithmetic.
 #[derive(Debug, Clone)]
 pub struct EpisodeSchedule {
     params: NetworkParams,
+    /// Medium node of each lane.
+    lanes: Vec<usize>,
+    /// Dense sub-state: port `i` is lane `i`'s node.
     state: ContentionState,
     messages: u64,
 }
 
 impl EpisodeSchedule {
-    /// A schedule with pre-sized buffers for `nodes` endpoints, not yet
-    /// anchored to any medium ([`EpisodeSchedule::restart_from`] anchors
-    /// it).
-    pub fn new(params: NetworkParams, nodes: usize) -> Self {
+    /// A schedule not yet anchored to any medium
+    /// ([`EpisodeSchedule::restart_from`] anchors it).
+    pub fn new(params: NetworkParams) -> Self {
         params.validate();
         Self {
             params,
-            state: ContentionState::new(nodes),
+            lanes: Vec::new(),
+            state: ContentionState {
+                bus_free_at: 0.0,
+                send_port_free: Vec::new(),
+                recv_port_free: Vec::new(),
+            },
             messages: 0,
         }
     }
 
-    /// Re-anchor to `medium`'s current queueing state, discarding any
-    /// previous replay. Allocation-free once the buffers exist.
-    pub fn restart_from(&mut self, medium: &MediumSim) {
+    /// Re-anchor to `medium`'s current queueing state for the nodes in
+    /// `lanes` (distinct; lane `i` is node `lanes[i]`), discarding any
+    /// previous replay. Allocation-free once the buffers have grown.
+    ///
+    /// # Panics
+    /// Panics if a node is out of the medium's range.
+    pub fn restart_from(&mut self, medium: &MediumSim, lanes: &[usize]) {
         self.params = medium.params;
-        self.state.copy_from(&medium.state);
+        let src = &medium.state;
+        self.lanes.clear();
+        self.lanes.extend_from_slice(lanes);
+        self.state.bus_free_at = src.bus_free_at;
+        self.state.send_port_free.clear();
+        self.state
+            .send_port_free
+            .extend(lanes.iter().map(|&n| src.send_port_free[n]));
+        self.state.recv_port_free.clear();
+        self.state
+            .recv_port_free
+            .extend(lanes.iter().map(|&n| src.recv_port_free[n]));
         self.messages = 0;
     }
 
-    /// Replay one message: identical arithmetic, identical state update
-    /// as [`MediumSim::send_with_factors`], applied to the snapshot.
+    /// Replay one message between two lanes: identical arithmetic,
+    /// identical state update as [`MediumSim::send_with_factors`] between
+    /// their nodes, applied to the snapshot.
     ///
     /// # Panics
-    /// Panics if a node index is out of range or a factor is below 1.
+    /// Panics if a lane index is out of range or a factor is below 1.
     pub fn send(
         &mut self,
         from: usize,
@@ -287,16 +312,48 @@ impl EpisodeSchedule {
             .schedule(&self.params, from, to, bytes, now, factors)
     }
 
+    /// Replay a burst of equal-size messages, all requested at `now`,
+    /// from lane `from` to each `(lane, receive factor)` of `to` in
+    /// order, appending each delivery time to `delivered`. The same
+    /// [`ContentionState::schedule`] call per message as [`Self::send`],
+    /// in the same order; the caller only saves recomputing the sender's
+    /// factor per message.
+    pub fn send_burst(
+        &mut self,
+        from: usize,
+        to: &[(usize, f64)],
+        bytes: usize,
+        now: f64,
+        send_factor: f64,
+        delivered: &mut Vec<f64>,
+    ) {
+        self.messages += to.len() as u64;
+        delivered.extend(to.iter().map(|&(lane, recv)| {
+            let factors = EndpointFactors {
+                send: send_factor,
+                recv,
+            };
+            self.state
+                .schedule(&self.params, from, lane, bytes, now, factors)
+                .delivered
+        }));
+    }
+
     /// Messages replayed since the last [`EpisodeSchedule::restart_from`].
     pub fn messages(&self) -> u64 {
         self.messages
     }
 
-    /// Adopt the replayed contention state into `medium`: afterwards the
-    /// medium is in exactly the state it would hold had the event loop
-    /// issued every replayed message itself.
+    /// Write the replayed lanes and the wire back into `medium`:
+    /// afterwards the medium is in exactly the state it would hold had
+    /// the event loop issued every replayed message itself.
     pub fn commit_to(&self, medium: &mut MediumSim) {
-        medium.state.copy_from(&self.state);
+        let dst = &mut medium.state;
+        dst.bus_free_at = self.state.bus_free_at;
+        for (i, &n) in self.lanes.iter().enumerate() {
+            dst.send_port_free[n] = self.state.send_port_free[i];
+            dst.recv_port_free[n] = self.state.recv_port_free[i];
+        }
     }
 }
 
@@ -496,8 +553,8 @@ mod tests {
                 let b2 = ff_base.send_with_factors(f, t, b, now, fac);
                 assert_eq!(a, b2);
             }
-            let mut ep = EpisodeSchedule::new(*ff_base.params(), ff_base.nodes());
-            ep.restart_from(&ff_base);
+            let mut ep = EpisodeSchedule::new(*ff_base.params());
+            ep.restart_from(&ff_base, &[0, 1, 2, 3, 4]);
             for &(f, t, b, now, fac) in &msgs[50..] {
                 let a = live.send_with_factors(f, t, b, now, fac);
                 let r = ep.send(f, t, b, now, fac);
@@ -510,6 +567,51 @@ mod tests {
         }
     }
 
+    /// A snapshot of a few lanes, in any order, replays exactly what the
+    /// medium computes for their nodes, and its commit leaves every other
+    /// node's ports as they were.
+    #[test]
+    fn lane_snapshot_matches_full_medium() {
+        for mk in [bus(8), switched(8)] {
+            let mut live = mk.clone();
+            let mut base = mk.clone();
+            let warm = trace(8, 60);
+            for &(f, t, b, now, fac) in &warm {
+                live.send_with_factors(f, t, b, now, fac);
+                base.send_with_factors(f, t, b, now, fac);
+            }
+            let lanes = [6, 1, 3];
+            let mut ep = EpisodeSchedule::new(*base.params());
+            ep.restart_from(&base, &lanes);
+            let t0 = warm.last().expect("non-empty trace").3;
+            let mut burst = Vec::new();
+            for (i, &(f, t, b, dt, fac)) in trace(3, 40).iter().enumerate() {
+                let now = t0 + dt;
+                if i % 10 == 9 {
+                    // A burst from one lane to the two others.
+                    let to = [((f + 1) % 3, fac.recv), ((f + 2) % 3, 1.5)];
+                    burst.clear();
+                    ep.send_burst(f, &to, b, now, fac.send, &mut burst);
+                    for (k, &(lane, recv)) in to.iter().enumerate() {
+                        let factors = EndpointFactors {
+                            send: fac.send,
+                            recv,
+                        };
+                        let a = live.send_with_factors(lanes[f], lanes[lane], b, now, factors);
+                        assert_eq!(a.delivered.to_bits(), burst[k].to_bits());
+                    }
+                    continue;
+                }
+                let a = live.send_with_factors(lanes[f], lanes[t], b, now, fac);
+                let r = ep.send(f, t, b, now, fac);
+                assert_eq!(a.start.to_bits(), r.start.to_bits());
+                assert_eq!(a.delivered.to_bits(), r.delivered.to_bits());
+            }
+            ep.commit_to(&mut base);
+            assert_eq!(live.state(), base.state());
+        }
+    }
+
     /// Dropping a schedule (fallback path) leaves the medium untouched,
     /// and the same schedule value can be re-anchored and reused.
     #[test]
@@ -517,14 +619,14 @@ mod tests {
         let mut m = bus(3);
         m.send(0, 1, 500, 0.0);
         let before = m.state().clone();
-        let mut ep = EpisodeSchedule::new(*m.params(), m.nodes());
-        ep.restart_from(&m);
+        let mut ep = EpisodeSchedule::new(*m.params());
+        ep.restart_from(&m, &[0, 1, 2]);
         ep.send(1, 2, 800, 1.0, EndpointFactors::default());
         ep.send(2, 0, 800, 2.0, EndpointFactors::default());
         // No commit: the medium must be unchanged.
         assert_eq!(*m.state(), before);
         // Reuse after abort: counters and state re-anchor cleanly.
-        ep.restart_from(&m);
+        ep.restart_from(&m, &[0, 1, 2]);
         assert_eq!(ep.messages(), 0);
         let live = m.send(1, 2, 64, 3.0);
         let rep = ep.send(1, 2, 64, 3.0, EndpointFactors::default());

@@ -23,7 +23,7 @@
 use crate::buf::PackBuf;
 use crate::ctx::{Ctx, Message, TaskId};
 use crate::load::LoadInjector;
-use dlb_core::balance::{balance_group, BalanceOutcome, BalanceVerdict};
+use dlb_core::balance::{balance_group, BalanceOutcome, BalanceVerdict, IndexedOutcome};
 use dlb_core::profile::PerfProfile;
 use dlb_core::strategy::{Control, StrategyConfig};
 use dlb_core::workqueue::{ranges_len, WorkQueue};
@@ -272,7 +272,7 @@ impl Worker {
             self.ctx.mcast(&peers, TAG_INTERRUPT, b);
         }
         self.send_profile();
-        let outcome = self.obtain_outcome();
+        let outcome = IndexedOutcome::from(self.obtain_outcome());
         let finished = self.apply_outcome(&outcome);
         self.epoch += 1;
         self.window_start = Instant::now();
@@ -478,12 +478,12 @@ impl Worker {
 
     /// Apply an outcome: donate, receive, or just resume. Returns `true`
     /// when the whole group is finished.
-    fn apply_outcome(&mut self, outcome: &BalanceOutcome) -> bool {
-        if outcome.verdict == BalanceVerdict::Finished {
+    fn apply_outcome(&mut self, outcome: &IndexedOutcome) -> bool {
+        if outcome.outcome.verdict == BalanceVerdict::Finished {
             return true;
         }
         // Donate.
-        for t in outcome.transfers.iter().filter(|t| t.from == self.tid) {
+        for t in outcome.index.donations(self.tid) {
             let ranges = self.queue.take_back(t.iters);
             assert_eq!(
                 ranges_len(&ranges),
@@ -508,12 +508,7 @@ impl Worker {
             self.ctx.send(t.to, TAG_WORK, b);
         }
         // Receive.
-        let mut expect: u64 = outcome
-            .transfers
-            .iter()
-            .filter(|t| t.to == self.tid)
-            .map(|t| t.iters)
-            .sum();
+        let mut expect = outcome.index.owed(self.tid);
         while expect > 0 {
             let m = self.ctx.recv(None, Some(TAG_WORK));
             let mut u = m.unpack();

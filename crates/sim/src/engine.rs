@@ -31,8 +31,9 @@
 //!   the paper attributes to cancelled redistributions.
 
 use crate::cluster::ClusterSpec;
+use crate::heap::MinHeap;
 use crate::report::{ProcSummary, RunReport};
-use dlb_core::balance::{balance_group, BalanceOutcome, BalanceVerdict};
+use dlb_core::balance::{balance_group, BalanceOutcome, BalanceVerdict, IndexedOutcome};
 use dlb_core::membership::Membership;
 use dlb_core::profile::PerfProfile;
 use dlb_core::recovery::split_ranges;
@@ -46,8 +47,7 @@ use now_load::{ClockCursor, WorkClock};
 use now_net::MediumSim;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -89,8 +89,8 @@ enum Payload {
         group: usize,
         /// Shared, not cloned: the same computed outcome is broadcast to
         /// every participant, so the payload carries a cheap `Arc` handle
-        /// instead of a deep copy of the transfer plan.
-        outcome: Arc<BalanceOutcome>,
+        /// instead of a deep copy of the transfer plan (or its index).
+        outcome: Arc<IndexedOutcome>,
         /// Membership epoch at send time. A receiver discards any
         /// instruction stamped with an older epoch than its own view —
         /// the split-brain guard of DESIGN.md §S14: after a membership
@@ -400,7 +400,7 @@ struct Episode {
     recorded: bool,
     /// The computed outcome (identical at every replicated balancer),
     /// kept for instruction retransmission and donor-death accounting.
-    outcome: Option<Arc<BalanceOutcome>>,
+    outcome: Option<Arc<IndexedOutcome>>,
     /// Guard against double-scheduling the central calculation when a
     /// retransmitted profile duplicates one that did arrive.
     calc_central_scheduled: bool,
@@ -487,7 +487,7 @@ pub struct Engine<'w> {
     /// from `&self` query paths.
     slow_spans: Vec<Cell<SlowSpan>>,
     medium: MediumSim,
-    events: BinaryHeap<Reverse<Ev>>,
+    events: MinHeap<Ev>,
     seq: u64,
     /// Time of the event currently being processed — the default `tie`
     /// stamp for every push (see [`Ev::tie`]). `0.0` before the loop runs.
@@ -709,7 +709,7 @@ impl<'w> Engine<'w> {
                 })
                 .collect(),
             medium,
-            events: BinaryHeap::new(),
+            events: MinHeap::default(),
             seq: 0,
             ev_now: 0.0,
             counters: EngineCounters::default(),
@@ -842,7 +842,7 @@ impl<'w> Engine<'w> {
                 }
             }
         }
-        while let Some(Reverse(ev)) = self.events.pop() {
+        while let Some(ev) = self.events.pop() {
             let now = ev.time;
             self.ev_now = now;
             match ev.kind {
@@ -945,13 +945,13 @@ impl<'w> Engine<'w> {
             }
         };
         self.seq += 1;
-        self.events.push(Reverse(Ev {
+        self.events.push(Ev {
             time,
             tie,
             pkey,
             seq: self.seq,
             kind,
-        }));
+        });
     }
 
     /// CPU-cost multiplier for protocol processing on `node` at `now`:
@@ -961,8 +961,16 @@ impl<'w> Engine<'w> {
     /// it too — the paper's "context switching between the load balancer
     /// and the computation slave" (Section 6.2).
     fn cpu_factor(&self, node: usize, now: f64) -> f64 {
+        self.cpu_factor_in(node, self.state[node], now)
+    }
+
+    /// [`Engine::cpu_factor`] for `node` in processor state `state` — the
+    /// one formula, shared with the episode fast-forward, which passes
+    /// its *shadow* states instead of `self.state`.
+    #[inline]
+    fn cpu_factor_in(&self, node: usize, state: ProcState, now: f64) -> f64 {
         let ext = self.ext_slowdown(node, now);
-        let share = if self.state[node] == ProcState::Computing {
+        let share = if state == ProcState::Computing {
             2.0
         } else {
             1.0
@@ -971,8 +979,7 @@ impl<'w> Engine<'w> {
     }
 
     /// The external-load component of [`Engine::cpu_factor`], span-cached.
-    /// Split out so the episode fast-forward can combine it with its
-    /// *shadow* processor states instead of `self.state`.
+    #[inline]
     fn ext_slowdown(&self, node: usize, now: f64) -> f64 {
         let mut span = self.slow_spans[node].get();
         if !(now >= span.from && now < span.until) {
@@ -1657,13 +1664,15 @@ impl<'w> Engine<'w> {
         self.push_event(done, EvKind::CalcLocal { group: g, proc: at });
     }
 
-    fn decide(&mut self, profiles: &[PerfProfile]) -> BalanceOutcome {
+    /// Run the balancer and index its plan once for every actor.
+    fn decide(&mut self, profiles: &[PerfProfile]) -> IndexedOutcome {
         let cfg = self.cfg.as_ref().expect("decision under DLB");
         let net = self.cluster.net;
         let bpi = self.bytes_per_iter;
         balance_group(profiles, cfg, |moved| {
             net.latency() + moved as f64 * bpi as f64 / net.bandwidth
         })
+        .into()
     }
 
     fn record_decision(&mut self, g: usize, outcome: &BalanceOutcome, now: f64) {
@@ -1691,7 +1700,7 @@ impl<'w> Engine<'w> {
         }
         let profiles: Vec<PerfProfile> = episode.central_profiles.values().copied().collect();
         let outcome = Arc::new(self.decide(&profiles));
-        self.record_decision(g, &outcome, now);
+        self.record_decision(g, &outcome.outcome, now);
         let master = self.balancer_host(g);
         let (participants, episode_id) = {
             let episode = self.groups[g]
@@ -1752,7 +1761,7 @@ impl<'w> Engine<'w> {
             Some(out) => out,
             None => {
                 let outcome = Arc::new(self.decide(&profiles));
-                self.record_decision(g, &outcome, now);
+                self.record_decision(g, &outcome.outcome, now);
                 if let Some(episode) = self.groups[g].episode.as_mut() {
                     episode.outcome = Some(Arc::clone(&outcome));
                 }
@@ -1762,7 +1771,7 @@ impl<'w> Engine<'w> {
         self.act_on_outcome(proc, g, &outcome, now);
     }
 
-    fn act_on_outcome(&mut self, m: usize, g: usize, outcome: &BalanceOutcome, now: f64) {
+    fn act_on_outcome(&mut self, m: usize, g: usize, outcome: &IndexedOutcome, now: f64) {
         {
             let episode = self.groups[g]
                 .episode
@@ -1777,26 +1786,19 @@ impl<'w> Engine<'w> {
         }
 
         // Ship what we owe.
-        for t in outcome.transfers.iter().filter(|t| t.from == m) {
+        for t in outcome.index.donations(m) {
             let ranges = self.queues[m].take_back(t.iters);
-            if ranges_len(&ranges) != t.iters {
-                let e = self.groups[g].episode.as_ref().unwrap();
-                eprintln!(
-                    "SHORTFALL m={m} g={g} planned={} got={} episode_id={} same_outcome={} state={:?} profile_remaining={:?}",
-                    t.iters,
-                    ranges_len(&ranges),
-                    e.id,
-                    e.outcome
-                        .as_ref()
-                        .is_some_and(|o| std::ptr::eq(o.as_ref(), outcome)),
-                    self.state[m],
-                    e.sent_profiles.get(&m).map(|p| p.remaining),
-                );
-            }
+            let e = self.groups[g].episode.as_ref();
             assert_eq!(
                 ranges_len(&ranges),
                 t.iters,
-                "donor {m} cannot cover the planned transfer"
+                "donor {m} cannot cover the planned transfer: group {g}, episode {:?}, \
+                 same outcome as the episode's {:?}, state {:?}, profiled remaining {:?}",
+                e.map(|e| e.id),
+                e.and_then(|e| e.outcome.as_ref())
+                    .map(|o| std::ptr::eq(o.as_ref(), outcome)),
+                self.state[m],
+                e.and_then(|e| e.sent_profiles.get(&m)).map(|p| p.remaining),
             );
             let bytes = WORK_HEADER_BYTES + (t.iters * self.bytes_per_iter) as usize;
             self.send(m, t.to, bytes, Payload::Work { group: g, ranges }, now);
@@ -1804,12 +1806,7 @@ impl<'w> Engine<'w> {
 
         // Wait for what we are owed, crediting any shipments that raced
         // ahead of our own balancer calculation.
-        let mut expect: u64 = outcome
-            .transfers
-            .iter()
-            .filter(|t| t.to == m)
-            .map(|t| t.iters)
-            .sum();
+        let mut expect = outcome.index.owed(m);
         let early = std::mem::take(&mut self.early_work[m]);
         for (grp, ranges) in early {
             debug_assert_eq!(grp, g, "early work must belong to the current episode");
@@ -2454,7 +2451,7 @@ impl<'w> Engine<'w> {
             .cfg
             .as_ref()
             .expect("rejoin admission is only reachable via the DLB handshake path");
-        let outcome = balance_group(&profiles, cfg, |_| 0.0);
+        let outcome = IndexedOutcome::from(balance_group(&profiles, cfg, |_| 0.0));
         let idx = self.faults.rejoins.len();
         self.faults.rejoins.push(RejoinRecord {
             proc: q,
@@ -2464,9 +2461,10 @@ impl<'w> Engine<'w> {
         });
         self.rejoin_baselines.push((idx, self.iters_done[q]));
         let inbound: Vec<(usize, u64)> = outcome
-            .transfers
+            .index
+            .receipts(q)
             .iter()
-            .filter(|t| t.to == q && t.from != q)
+            .filter(|t| t.from != q)
             .map(|t| (t.from, t.iters))
             .collect();
         for (from, iters) in inbound {
@@ -2572,9 +2570,10 @@ impl<'w> Engine<'w> {
                         continue;
                     };
                     let owed_by_dead: u64 = out
-                        .transfers
+                        .index
+                        .receipts(m)
                         .iter()
-                        .filter(|t| t.to == m && t.from == d)
+                        .filter(|t| t.from == d)
                         .map(|t| t.iters)
                         .sum();
                     if owed_by_dead == 0 {
@@ -3564,6 +3563,45 @@ mod tests {
     }
 
     #[test]
+    fn fallback_reason_is_a_property_of_the_window() {
+        // One window holding a foreign event (a pending calculation) and
+        // a fault-class one (a crash): the fast-forward must blame the
+        // fault plan whatever order the heap stores them in. Filler
+        // events past the window reshape the heap between cases.
+        let wl = uniform(40, 0.01);
+        let cfg = StrategyConfig::paper(Strategy::Gcdlb, 2);
+        let pidx = vec![usize::MAX; 4];
+        for (order, fillers) in [(0, 0), (1, 0), (0, 7), (1, 13)] {
+            let mut engine = Engine::new(ClusterSpec::dedicated(4), &wl, Some(cfg))
+                .with_faults(FaultPlan::crash(3, 50.0), FailurePolicy::default());
+            for i in 0..fillers {
+                engine.push_event(2.0 + i as f64, EvKind::PeriodicTick);
+            }
+            let foreign = (0.5, EvKind::CalcCentral { group: 0 });
+            let fault = (0.6, EvKind::Crash { proc: 3 });
+            let (a, b) = if order == 0 {
+                (foreign, fault)
+            } else {
+                (fault, foreign)
+            };
+            engine.push_event(a.0, a.1);
+            engine.push_event(b.0, b.1);
+            let case = format!("order {order}, {fillers} fillers");
+            assert_eq!(
+                engine.window_interference(&pidx, 1.0),
+                Some(FallbackReason::Fault),
+                "{case}"
+            );
+            assert_eq!(
+                engine.window_interference(&pidx, 0.55),
+                Some(FallbackReason::Foreign),
+                "{case}: only the calculation is in this window"
+            );
+            assert_eq!(engine.window_interference(&pidx, 0.4), None, "{case}");
+        }
+    }
+
+    #[test]
     fn stale_epoch_instruction_is_discarded() {
         // Direct check of the split-brain guard: an instruction stamped
         // with an older membership epoch is dead on arrival.
@@ -3572,14 +3610,14 @@ mod tests {
         let mut engine = Engine::new(ClusterSpec::dedicated(4), &wl, Some(cfg))
             .with_faults(FaultPlan::crash(3, 50.0), FailurePolicy::default());
         engine.membership_epoch = 2;
-        let outcome = Arc::new(BalanceOutcome {
+        let outcome = Arc::new(IndexedOutcome::from(BalanceOutcome {
             verdict: BalanceVerdict::BelowThreshold,
             new_counts: vec![],
             transfers: vec![],
             moved: 0,
             predicted_old: 0.0,
             predicted_new: 0.0,
-        });
+        }));
         engine.on_deliver(
             1,
             Payload::Instruction {
@@ -3646,14 +3684,14 @@ mod tests {
             Engine::new(ClusterSpec::dedicated(4), &wl, Some(acfg.initial)).with_adaptive(acfg);
         engine.membership_epoch = 2;
         engine.on_deliver(1, Payload::Interrupt { group: 0, epoch: 1 }, 0.1);
-        let outcome = Arc::new(BalanceOutcome {
+        let outcome = Arc::new(IndexedOutcome::from(BalanceOutcome {
             verdict: BalanceVerdict::BelowThreshold,
             new_counts: vec![],
             transfers: vec![],
             moved: 0,
             predicted_old: 0.0,
             predicted_new: 0.0,
-        });
+        }));
         engine.on_deliver(
             1,
             Payload::Instruction {

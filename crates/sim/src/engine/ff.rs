@@ -30,8 +30,9 @@
 //!   that starts at the engine's and increments once per push, in the
 //!   same program order the engine would push — so exact-time ties
 //!   resolve identically.
-//! * **No hidden interference.** Before committing, the real heap is
-//!   scanned: any pending event inside the episode window that is not
+//! * **No hidden interference.** Before committing, the real heap's
+//!   events at or before the close are scanned — a pruned walk that never
+//!   visits an event past the window: any of them that is not
 //!   provably a no-op (a stale-epoch block event, a participant's
 //!   consumed seed, a stale watchdog, an `EpisodeDone` marker) aborts the
 //!   replay, and the episode falls back to the ordinary per-message path
@@ -55,6 +56,25 @@
 //! * any non-benign heap event at or before the episode's close `T`:
 //!   crashes, heartbeat ticks, periodic ticks, foreign deliveries,
 //!   balancer calculations, or a live block event of a non-participant.
+//!   The fallback is blamed on the fault plan if any fault-class event
+//!   (crash, recovery, join retry, heartbeat, live watchdog) lies in the
+//!   window, and on foreign traffic otherwise — a property of the window,
+//!   not of the order the heap happens to store it in. Without a fault
+//!   plan no fault-class event exists, so the first non-benign event's
+//!   time is a *horizon*: the replay stops as soon as it reaches it, since
+//!   an episode still open then cannot commit.
+//!
+//! # Cost
+//!
+//! Every per-attempt cost is O(K + T log T + messages) for K participants
+//! and T planned transfers, with no term in the processor count P (the
+//! P-sized `pidx` table is reset in O(K)): the medium
+//! snapshot copies only the episode's lanes ([`EpisodeSchedule`]), the
+//! act phase reads the outcome's [`dlb_core::TransferIndex`], and the
+//! heap walks visit only events before the horizon or inside the window.
+//! In fault-free distributed episodes each profile's all-to-all burst
+//! computes the sender's CPU factor once and runs its K−1 contention
+//! updates in one loop ([`EpisodeSchedule::send_burst`]).
 //!
 //! Work arrivals from outside the episode can only be caused by such
 //! events, so "no work arrival inside the window" is implied by the scan.
@@ -155,10 +175,18 @@ struct FfBlock {
 /// the per-message path goes away.
 #[derive(Debug, Default)]
 pub(super) struct FfScratch {
-    heap: BinaryHeap<Reverse<FfEv>>,
+    heap: MinHeap<FfEv>,
     net: Option<EpisodeSchedule>,
     /// Participant list, sorted ascending (the episode's order).
     parts: Vec<usize>,
+    /// Medium nodes of the episode's schedule lanes: the participants in
+    /// order (lane = participant index), then the balancer host if it is
+    /// not one of them (lane `parts.len()`).
+    lanes: Vec<usize>,
+    /// Profile burst scratch: `(receiver lane, receive factor)` and the
+    /// delivery times, in participant order.
+    burst: Vec<(usize, f64)>,
+    delivered: Vec<f64>,
     /// The previous episode's participants — the only `pidx` entries
     /// that are not `usize::MAX` between runs, so the next snapshot can
     /// reset them in O(K) instead of re-zeroing all P.
@@ -195,7 +223,7 @@ pub(super) struct FfScratch {
     local_count: Vec<usize>,
     /// Latest profile arrival per member (distributed control).
     prof_latest: Vec<f64>,
-    outcome: Option<Arc<BalanceOutcome>>,
+    outcome: Option<Arc<IndexedOutcome>>,
     recorded: bool,
     sync_time: f64,
     acted_count: usize,
@@ -222,6 +250,19 @@ pub(super) struct FfScratch {
     /// Why the replay bailed, for the per-reason fallback counters.
     /// Only meaningful when `ff_run` returned `false`.
     reason: FallbackReason,
+}
+
+impl FfScratch {
+    /// Schedule lane of a send endpoint (a participant or the host).
+    fn lane(&self, node: usize) -> usize {
+        match self.pidx[node] {
+            usize::MAX => {
+                debug_assert_eq!(node, self.host, "episode endpoints are members or the host");
+                self.parts.len()
+            }
+            i => i,
+        }
+    }
 }
 
 impl<'w> Engine<'w> {
@@ -325,6 +366,21 @@ impl<'w> Engine<'w> {
         }
         s.prev_parts.clone_from(&s.parts);
 
+        // Without a fault plan every fallback is `Foreign`, and the window
+        // check after the replay fails exactly when some non-benign real
+        // event lies at or before the close (which is no earlier than
+        // `now`). So the replay can stop at the first such event's time:
+        // an episode still open then cannot commit. Nearly every
+        // local-strategy attempt at large P ends this way.
+        let horizon = if self.fault_active {
+            f64::INFINITY
+        } else {
+            self.interference_horizon(&s.pidx)
+        };
+        if horizon <= now {
+            return false;
+        }
+
         // The shadow `finished_at` is only read/written for send
         // endpoints — participants and the balancer host — so copy just
         // those lanes instead of cloning all P.
@@ -337,6 +393,10 @@ impl<'w> Engine<'w> {
             s.finished_at[m] = self.finished_at[m];
         }
         s.finished_at[host] = self.finished_at[host];
+        s.lanes.clone_from(&s.parts);
+        if s.pidx[host] == usize::MAX {
+            s.lanes.push(host);
+        }
 
         let clear_resize = |v: &mut Vec<bool>| {
             v.clear();
@@ -430,13 +490,13 @@ impl<'w> Engine<'w> {
                     end,
                     started: b.started,
                 };
-                s.heap.push(Reverse(FfEv {
+                s.heap.push(FfEv {
                     time: end,
                     tie: block_done_tie(&b.boundaries, b.started),
                     pkey: m as u32,
                     seq: b.seq,
                     kind: FfKind::BlockDone { p: m, epoch: 0 },
-                }));
+                });
             } else {
                 // The initiator arrives still in `Computing` — its block
                 // was retired by `on_block_done` just before
@@ -448,9 +508,9 @@ impl<'w> Engine<'w> {
             }
         }
 
-        if self.net_snapshot(s) {
-            return false;
-        }
+        s.net
+            .get_or_insert_with(|| EpisodeSchedule::new(*self.medium.params()))
+            .restart_from(&self.medium, &s.lanes);
 
         // --- replay t₀: mirror of `start_episode`'s body -------------
         for &m in peers {
@@ -469,12 +529,15 @@ impl<'w> Engine<'w> {
 
         // --- mini event loop -----------------------------------------
         while !s.aborted && s.closed.is_none() {
-            let Some(Reverse(ev)) = s.heap.pop() else {
+            let Some(ev) = s.heap.pop() else {
                 // The episode deadlocked in replay; it would deadlock for
                 // real too, but let the real path produce the diagnostics.
                 return false;
             };
             let t = ev.time;
+            if t >= horizon {
+                return false;
+            }
             match ev.kind {
                 FfKind::BlockDone { p: m, epoch } => self.ff_block_done(s, m, epoch, t),
                 FfKind::Settle { p: m, epoch } => self.ff_settle_check(s, m, epoch, t),
@@ -503,53 +566,95 @@ impl<'w> Engine<'w> {
             };
             return false;
         }
-        // Scan the real heap: every pending event at or before the close
-        // must be a provable no-op against the committed state.
-        for Reverse(ev) in self.events.iter() {
-            if ev.time > t_close {
-                continue;
+        if !self.fault_active {
+            // The horizon already proved the window clean.
+            debug_assert_eq!(self.window_interference(&s.pidx, t_close), None);
+            return true;
+        }
+        match self.window_interference(&s.pidx, t_close) {
+            Some(reason) => {
+                s.reason = reason;
+                false
             }
-            let benign = match ev.kind {
-                EvKind::BlockDone { proc, epoch } | EvKind::SettleCheck { proc, epoch } => {
-                    // Stale-epoch events no-op; a participant's live ones
-                    // are the seeds this replay consumed (they go stale
-                    // when the commit bumps the epoch).
-                    epoch != self.block_epoch[proc] || s.pidx[proc] != usize::MAX
+            None => true,
+        }
+    }
+
+    /// Whether the pending real event `ev` is a provable no-op against
+    /// the state an episode over `pidx`'s participants commits.
+    fn benign_in_window(&self, ev: &Ev, pidx: &[usize]) -> bool {
+        match ev.kind {
+            EvKind::BlockDone { proc, epoch } | EvKind::SettleCheck { proc, epoch } => {
+                // Stale-epoch events no-op; a participant's live ones are
+                // the seeds this replay consumed (they go stale when the
+                // commit bumps the epoch).
+                epoch != self.block_epoch[proc] || pidx[proc] != usize::MAX
+            }
+            // `.get`: after a §S17 switch the group count may have shrunk,
+            // and a watchdog armed under the old regime can carry an
+            // out-of-range index — it is stale by definition.
+            EvKind::Watchdog { group, id } => self
+                .groups
+                .get(group)
+                .and_then(|gc| gc.episode.as_ref())
+                .is_none_or(|e| e.id != id),
+            EvKind::EpisodeDone { .. } => true,
+            _ => false,
+        }
+    }
+
+    /// Time of the earliest pending real event that is not benign for an
+    /// episode over `pidx` (infinity if none): the walk prunes every
+    /// subtree at or past the earliest such event found so far.
+    fn interference_horizon(&self, pidx: &[usize]) -> f64 {
+        let first = Cell::new(f64::INFINITY);
+        self.events.visit_prefix(
+            |ev| ev.time < first.get(),
+            |ev| {
+                if !self.benign_in_window(ev, pidx) {
+                    first.set(ev.time);
                 }
-                // `.get`: after a §S17 switch the group count may have
-                // shrunk, and a watchdog armed under the old regime can
-                // carry an out-of-range index — it is stale by definition.
-                EvKind::Watchdog { group, id } => self
-                    .groups
-                    .get(group)
-                    .and_then(|gc| gc.episode.as_ref())
-                    .is_none_or(|e| e.id != id),
-                EvKind::EpisodeDone { .. } => true,
-                _ => false,
-            };
-            if !benign {
-                s.reason = match ev.kind {
+                true
+            },
+        );
+        first.get()
+    }
+
+    /// Check the real heap's events at or before `t_close`: every one
+    /// must be a provable no-op against the committed state. Returns why
+    /// not otherwise — [`FallbackReason::Fault`] if any fault-class event
+    /// lies in the window, else [`FallbackReason::Foreign`]. The walk
+    /// never visits an event past the window and stops at the first
+    /// fault-class event.
+    pub(super) fn window_interference(
+        &self,
+        pidx: &[usize],
+        t_close: f64,
+    ) -> Option<FallbackReason> {
+        let mut found = None;
+        self.events.visit_prefix(
+            |ev| ev.time <= t_close,
+            |ev| {
+                if self.benign_in_window(ev, pidx) {
+                    return true;
+                }
+                match ev.kind {
                     EvKind::Crash { .. }
                     | EvKind::Recover { .. }
                     | EvKind::JoinRetry { .. }
                     | EvKind::Heartbeat
-                    | EvKind::Watchdog { .. } => FallbackReason::Fault,
-                    _ => FallbackReason::Foreign,
-                };
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Anchor the scratch's [`EpisodeSchedule`] to the current medium.
-    /// Returns `true` on (never expected) failure to keep `ff_run` tidy.
-    fn net_snapshot(&self, s: &mut FfScratch) -> bool {
-        let net = s.net.get_or_insert_with(|| {
-            EpisodeSchedule::new(*self.medium.params(), self.medium.nodes())
-        });
-        net.restart_from(&self.medium);
-        false
+                    | EvKind::Watchdog { .. } => {
+                        found = Some(FallbackReason::Fault);
+                        false
+                    }
+                    _ => {
+                        found = Some(FallbackReason::Foreign);
+                        true
+                    }
+                }
+            },
+        );
+        found
     }
 
     // ------------------------------------------------------------------
@@ -558,13 +663,11 @@ impl<'w> Engine<'w> {
     /// Shadow-state CPU factor: identical to [`Engine::cpu_factor`] but
     /// reading participants' states from the shadow.
     fn ff_cpu_factor(&self, s: &FfScratch, node: usize, now: f64) -> f64 {
-        let ext = self.ext_slowdown(node, now);
-        let computing = match s.pidx[node] {
-            usize::MAX => self.state[node] == ProcState::Computing,
-            i => s.state[i] == ProcState::Computing,
+        let state = match s.pidx[node] {
+            usize::MAX => self.state[node],
+            i => s.state[i],
         };
-        let share = if computing { 2.0 } else { 1.0 };
-        (ext * share).max(1.0)
+        self.cpu_factor_in(node, state, now)
     }
 
     /// Mirror of [`Engine::send`]'s bookkeeping against the episode
@@ -590,8 +693,9 @@ impl<'w> Engine<'w> {
             send: self.ff_cpu_factor(s, from, now),
             recv: self.ff_cpu_factor(s, to, now),
         };
+        let (lf, lt) = (s.lane(from), s.lane(to));
         let net = s.net.as_mut().expect("schedule anchored in ff_run");
-        let tx = net.send(from, to, bytes, now, factors);
+        let tx = net.send(lf, lt, bytes, now, factors);
         match transfer_iters {
             Some(n) => {
                 s.xfer_msgs += 1;
@@ -648,13 +752,13 @@ impl<'w> Engine<'w> {
             _ => u32::MAX,
         };
         s.seq += 1;
-        s.heap.push(Reverse(FfEv {
+        s.heap.push(FfEv {
             time,
             tie,
             pkey,
             seq: s.seq,
             kind,
-        }));
+        });
     }
 
     /// Mirror of [`Engine::send_profile`].
@@ -688,7 +792,12 @@ impl<'w> Engine<'w> {
                     self.ff_account_central(s, profile, deliv);
                 }
             }
+            Control::Distributed if !self.fault_active => {
+                self.ff_account_local(s, i, profile, now);
+                self.ff_profile_burst(s, i, now);
+            }
             Control::Distributed => {
+                // A drop or a cut can abort mid-burst: message by message.
                 self.ff_account_local(s, i, profile, now);
                 for pos in 0..s.parts.len() {
                     let to = s.parts[pos];
@@ -703,6 +812,54 @@ impl<'w> Engine<'w> {
                     self.ff_account_local(s, pos, profile, deliv);
                 }
             }
+        }
+    }
+
+    /// Fault-free distributed all-to-all: participant `i` sends its
+    /// profile to every other participant at `now`. The same messages as
+    /// [`Self::ff_send_msg`] one by one, in the same order, but with the
+    /// loop-invariant work hoisted: the sender's CPU factor is computed
+    /// once, every receiver's in one pass (neither changes during the
+    /// burst — accounting a profile only stores it and pushes events),
+    /// then the K−1 contention updates run back to back and the arrivals
+    /// are accounted in participant order. Accounting never feeds a send,
+    /// and sends push no events, so every sequence number is unchanged.
+    fn ff_profile_burst(&mut self, s: &mut FfScratch, i: usize, now: f64) {
+        debug_assert!(!self.fault_active, "faults need the per-message path");
+        debug_assert!(
+            s.profiles[i].is_some(),
+            "the sender's own account stores it"
+        );
+        let m = s.parts[i];
+        s.burst.clear();
+        for (pos, (&to, &state)) in s.parts.iter().zip(&s.state).enumerate() {
+            if pos != i {
+                s.burst.push((pos, self.cpu_factor_in(to, state, now)));
+            }
+        }
+        if s.burst.is_empty() {
+            return;
+        }
+        let send_factor = self.ff_cpu_factor(s, m, now);
+        s.delivered.clear();
+        s.net
+            .as_mut()
+            .expect("schedule anchored in ff_run")
+            .send_burst(
+                i,
+                &s.burst,
+                PerfProfile::WIRE_BYTES,
+                now,
+                send_factor,
+                &mut s.delivered,
+            );
+        let sent = s.burst.len() as u64;
+        s.ctrl_msgs += sent;
+        s.msg_seq += sent;
+        s.finished_at[m] = s.finished_at[m].max(now);
+        for j in 0..s.burst.len() {
+            let (pos, at) = (s.burst[j].0, s.delivered[j]);
+            self.ff_count_local(s, pos, at);
         }
     }
 
@@ -739,11 +896,26 @@ impl<'w> Engine<'w> {
         if s.profiles[pi].is_none() {
             s.profiles[pi] = Some(profile);
         }
+        self.ff_count_local(s, at, time);
+    }
+
+    /// The per-receiver half of [`Self::ff_account_local`]: member `at`
+    /// holds one more profile, the latest arriving at `time`; the last
+    /// one schedules its calculation.
+    #[inline]
+    fn ff_count_local(&mut self, s: &mut FfScratch, at: usize, time: f64) {
         s.local_count[at] += 1;
         s.prof_latest[at] = s.prof_latest[at].max(time);
-        if s.local_count[at] < s.parts.len() {
-            return;
+        if s.local_count[at] == s.parts.len() {
+            self.ff_schedule_calc_local(s, at);
         }
+    }
+
+    /// Member `at` holds every profile: its replicated calculation
+    /// starts at the latest arrival. Once per member per episode, so kept
+    /// out of line from the per-message count above.
+    #[cold]
+    fn ff_schedule_calc_local(&mut self, s: &mut FfScratch, at: usize) {
         let now = s.prof_latest[at];
         let cfg = *self.cfg.as_ref().expect("distributed profile under DLB");
         let done = now + cfg.calc_cost * self.ff_cpu_factor(s, s.parts[at], now);
@@ -819,7 +991,7 @@ impl<'w> Engine<'w> {
         let outcome = Arc::clone(s.outcome.as_ref().expect("act without outcome"));
 
         // Ship what we owe.
-        for t in outcome.transfers.iter().filter(|t| t.from == m) {
+        for t in outcome.index.donations(m) {
             let ranges = s.queues[i].take_back(t.iters);
             assert_eq!(
                 ranges_len(&ranges),
@@ -834,12 +1006,7 @@ impl<'w> Engine<'w> {
         }
 
         // Wait for what we are owed, crediting early shipments.
-        let mut expect: u64 = outcome
-            .transfers
-            .iter()
-            .filter(|t| t.to == m)
-            .map(|t| t.iters)
-            .sum();
+        let mut expect = outcome.index.owed(m);
         let early = std::mem::take(&mut s.early[i]);
         for ranges in early {
             let got = ranges_len(&ranges);
@@ -1129,7 +1296,11 @@ impl<'w> Engine<'w> {
         self.stats.transfer_messages += s.xfer_msgs;
         self.stats.bytes_moved += s.bytes_moved;
         self.faults.messages_delayed += s.delayed_msgs;
-        let outcome = s.outcome.take().expect("closed episode has an outcome");
+        let outcome = &s
+            .outcome
+            .take()
+            .expect("closed episode has an outcome")
+            .outcome;
         debug_assert!(s.recorded);
         self.stats.record_verdict(outcome.verdict);
         if outcome.verdict == BalanceVerdict::Move {
@@ -1178,7 +1349,7 @@ impl<'w> Engine<'w> {
         // interrupts — become real events again; everything else went
         // stale during the replay and its real twin would be a no-op pop,
         // so dropping it only shifts later sequence numbers uniformly.
-        while let Some(Reverse(ev)) = s.heap.pop() {
+        while let Some(ev) = s.heap.pop() {
             match ev.kind {
                 FfKind::BlockDone { p: m, epoch } => {
                     let i = s.pidx[m];

@@ -21,6 +21,7 @@
 
 pub mod cluster;
 pub mod engine;
+mod heap;
 pub mod report;
 pub mod runner;
 pub mod taskqueue;

@@ -130,3 +130,53 @@ fn p64_crash_recover_hierarchical_local() {
         }
     }
 }
+
+/// Fault-free large P, the shape of the benchmark's large-p cells (MXM
+/// R=100P, K=8, local strategies under a depth-2 hierarchy): batched and
+/// episode mode must produce byte-identical reports, and the episode run
+/// must actually fast-forward. These sizes exercise the fast-forward's
+/// transfer index, lane snapshot, profile burst and window scan with
+/// hundreds of participants, where P=64 has too few to tell a per-lane
+/// mistake from a coincidence.
+fn assert_batched_matches_episode(p: usize, cfg: StrategyConfig) {
+    let wl = MxmConfig::new(100 * p as u64, 800, 400).workload();
+    let cluster = ClusterSpec::paper_homogeneous(p, 0x1A26_E000 ^ p as u64, 0.5);
+    let run = |mode| {
+        Engine::new(cluster.clone(), &wl, Some(cfg))
+            .with_mode(mode)
+            .run_counted()
+    };
+    let (batched, _) = run(EngineMode::Batched);
+    let (episode, counters) = run(EngineMode::Episode);
+    assert!(
+        counters.episodes_fast_forwarded > 0,
+        "{:?} P={p}: no episode fast-forwarded ({counters:?})",
+        cfg.strategy
+    );
+    let a = serde_json::to_string(&batched).expect("serialize");
+    let b = serde_json::to_string(&episode).expect("serialize");
+    assert!(
+        a == b,
+        "{:?} P={p}: episode report diverged from batched",
+        cfg.strategy
+    );
+}
+
+#[test]
+fn p1024_gcdlb_batched_matches_episode() {
+    assert_batched_matches_episode(1024, StrategyConfig::paper(Strategy::Gcdlb, 8));
+}
+
+#[test]
+fn p1024_hierarchical_local_batched_matches_episode() {
+    for s in [Strategy::Lcdlb, Strategy::Lddlb] {
+        assert_batched_matches_episode(1024, StrategyConfig::paper(s, 8).with_hierarchy(2, 8));
+    }
+}
+
+/// GD's all-to-all is O(K²) messages per episode; P=256 keeps the
+/// batched reference run short (P=1024 batched takes about 2 s).
+#[test]
+fn p256_gddlb_batched_matches_episode() {
+    assert_batched_matches_episode(256, StrategyConfig::paper(Strategy::Gddlb, 8));
+}
